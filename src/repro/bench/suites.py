@@ -82,6 +82,26 @@ def _dispatch_inline():
 
 
 @benchmark(
+    "dispatch_name_as_burst", group="dispatch", number=1,
+    description="name_as fan-out: 1024 tagged regions onto a 2-lane worker + wait_tag",
+)
+def _dispatch_name_as_burst():
+    from ..core import PjRuntime
+
+    rt = PjRuntime()
+    rt.create_worker("w", 2)
+
+    def burst():
+        # The paper's fan-out/join (§III-C): a deep backlog on a live pool,
+        # so posting overlaps the running lanes and the join.
+        for _ in range(1024):
+            rt.invoke_target_block("w", _nop, "name_as", tag="burst")
+        rt.wait_tag("burst")
+
+    return burst, lambda: rt.shutdown(wait=False)
+
+
+@benchmark(
     "dispatch_await_member", group="dispatch", number=10,
     description="await logical barrier taken from a pool member thread",
 )

@@ -574,7 +574,7 @@ class ClusterTarget(VirtualTarget):
             while True:
                 if not self._ensure_worker(slot):
                     return
-                item = self._queue.get()
+                [item] = self._queue.get_batch()
                 if item is _SHUTDOWN:
                     return
                 if item is _WAKEUP:

@@ -289,9 +289,11 @@ class TcpTransport:
             sock = self._sock
             if sock is None:
                 return True  # recv() raises EOFError immediately
-            remaining = None if deadline is None else deadline - _time.monotonic()
-            if remaining is not None and remaining < 0:
-                return False
+            # A spent deadline still polls the socket once (a zero-timeout
+            # select): poll(0) must see a frame that has already arrived.
+            remaining = (
+                None if deadline is None else max(0.0, deadline - _time.monotonic())
+            )
             try:
                 readable, _, _ = select.select([sock], [], [], remaining)
             except (OSError, ValueError):

@@ -18,7 +18,16 @@ __all__ = ["TagRegistry"]
 
 
 class TagRegistry:
-    """Thread-safe tag → outstanding-regions bookkeeping."""
+    """Thread-safe tag → outstanding-regions bookkeeping.
+
+    Regions join and leave their tag's set without the registry lock (set
+    ``add``/``discard`` are atomic under the GIL).  The lock is taken only on
+    a tag's first use, to record a failure, and when a group empties — the
+    only moment a ``wait`` can be released, so waiters are woken once per
+    group instead of once per completed region.  A registration that races
+    the emptying of its group re-checks that its set is still the live one
+    and, if the group was retired meanwhile, re-registers under the lock.
+    """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -31,39 +40,55 @@ class TagRegistry:
 
     def register(self, tag: str, region: TargetRegion) -> None:
         """Attach *region* to *tag*; automatically detaches on completion."""
-        with self._cond:
-            self._known.add(tag)
-            self._outstanding.setdefault(tag, set()).add(region)
+        live = self._outstanding.get(tag)
+        if live is not None:
+            live.add(region)
+        if live is None or self._outstanding.get(tag) is not live:
+            # First use, or the group emptied and was retired around the add.
+            with self._cond:
+                self._known.add(tag)
+                self._outstanding.setdefault(tag, set()).add(region)
         region.add_done_callback(lambda r: self._on_done(tag, r))
 
     def _on_done(self, tag: str, region: TargetRegion) -> None:
-        with self._cond:
-            live = self._outstanding.get(tag)
-            if live is not None:
-                live.discard(region)
-                if not live:
-                    del self._outstanding[tag]
-            if region.exception is not None:
-                # Includes regions cancelled *with a reason* (a drained
-                # target's lost work): wait_tag must surface those, while a
-                # bare cancel() stays a benign withdrawal.
-                err_cls = (
-                    RegionCancelledError
-                    if region.state is RegionState.CANCELLED
-                    else RegionFailedError
-                )
+        if region.exception is not None:
+            # Recorded before the region leaves its group, so a waiter the
+            # emptied group releases always finds it.  Includes regions
+            # cancelled *with a reason* (a drained target's lost work):
+            # wait_tag must surface those, while a bare cancel() stays a
+            # benign withdrawal.
+            err_cls = (
+                RegionCancelledError
+                if region.state is RegionState.CANCELLED
+                else RegionFailedError
+            )
+            with self._lock:
                 self._completed_with_error.setdefault(tag, []).append(
                     err_cls(region.name, region.exception)
                 )
-            self._cond.notify_all()
+        live = self._outstanding.get(tag)
+        if live is None:
+            return
+        live.discard(region)
+        if live:
+            return
+        with self._cond:
+            if live or self._outstanding.get(tag) is not live:
+                return  # refilled, or another completion retired it
+            del self._outstanding[tag]
+            if live:
+                # A lock-free register added to the set between the check
+                # above and the delete, and may already have confirmed the
+                # set as live: put it back rather than lose that region.
+                self._outstanding[tag] = live
+            else:
+                self._cond.notify_all()
 
     def outstanding(self, tag: str) -> int:
-        with self._lock:
-            return len(self._outstanding.get(tag, ()))
+        return len(self._outstanding.get(tag, ()))
 
     def is_known(self, tag: str) -> bool:
-        with self._lock:
-            return tag in self._known
+        return tag in self._known
 
     def wait(
         self,

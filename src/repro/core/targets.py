@@ -19,6 +19,7 @@ offloaded region to complete (Algorithm 1 lines 13-16).
 from __future__ import annotations
 
 import abc
+import collections
 import itertools
 import logging
 import os
@@ -150,11 +151,40 @@ class _TargetQueue:
 
     ``queue.Queue`` cannot express what shutdown needs: control sentinels
     must always get through (a full queue would otherwise wedge shutdown
-    itself), and a teardown must be able to atomically rip out every queued
-    item to cancel it.  So this is a small purpose-built deque + condvars.
+    itself), and a teardown must be able to rip out every queued item to
+    cancel it.  So this is a small purpose-built ``collections.deque`` plus
+    one lock and two condvars.
+
+    **Handoff.**  On an unbounded queue the steady state takes no lock:
+    ``put`` appends and :meth:`get_batch` — the single dequeue, for one item
+    or a batch, blocking, timed or non-blocking — pops, both atomic deque
+    operations under the GIL.  The lock is taken only to park a consumer on
+    an empty queue or to wake a parked one.  Two orderings make that safe:
+
+    * *Idle count versus append.*  A consumer raises ``_idle`` under the
+      lock *before* its final emptiness check and stays counted while it
+      waits; a producer reads ``_idle`` *after* its append.  Either the
+      producer sees the consumer counted (and notifies it under the lock,
+      which the consumer holds until it is waiting), or the append came
+      first and the consumer's check sees the item.  No wake-up is lost.
+    * *``_closed`` re-check versus drain.*  ``close()`` and
+      :meth:`drain_items` run under the lock but a lock-free append does
+      not, so a poster that passed the first ``_closed`` check can land its
+      item after the teardown drained the deque.  The poster therefore
+      re-checks ``_closed`` after appending and, if it is set, takes its
+      item back out and raises :class:`TargetShutdownError`; if the item is
+      already gone a consumer or the drain popped it, and that party runs
+      or cancels it.  Every removal — dequeue, steal, drain — pops the one
+      deque, so every item has exactly one taker; ``drain_items`` never
+      swaps in a new deque, which parked consumers would not be watching.
+
+    A bounded queue keeps its capacity exact by doing every put and pop
+    under the lock, where ``_not_full`` parks blocked posters.
 
     Capacity counts *work* items only; sentinels ride along uncounted via
-    :meth:`put_internal`.
+    :meth:`put_internal`.  ``_control`` counts the sentinels in the deque
+    and changes only under the lock, so :meth:`work_count` is
+    ``len(deque) - _control`` and never drifts.
     """
 
     def __init__(self, owner: str, capacity: int | None = None) -> None:
@@ -162,21 +192,16 @@ class _TargetQueue:
             raise ValueError(f"queue capacity must be >= 1, got {capacity}")
         self._owner = owner
         self.capacity = capacity
-        self._items: list[Any] = []
+        self._items: collections.deque[Any] = collections.deque()
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
         self._not_full = threading.Condition(self._lock)
         self._closed = False
         self.high_water = 0
-        # Work items currently queued (sentinels excluded), maintained O(1)
-        # at put/get so capacity checks and depth samples never rescan the
-        # backlog.  Guarded by ``_lock``; read lock-free for telemetry.
-        self._work = 0
+        self._control = 0  # queued sentinels; guarded by _lock
+        self._idle = 0  # consumers parked or about to park; guarded by _lock
 
     # ------------------------------------------------------------- producers
-
-    def _work_count(self) -> int:
-        return self._work
 
     def put(self, item: Any, *, block: bool = True, timeout: float | None = None) -> bool:
         """Enqueue *item*; returns False if a bounded queue stayed full.
@@ -185,117 +210,149 @@ class _TargetQueue:
         :class:`TargetShutdownError` if the queue closes while waiting, so a
         poster blocked on a full queue cannot outlive the target.
         """
+        if self.capacity is None:
+            if self._closed:
+                raise TargetShutdownError(self._owner)
+            items = self._items
+            items.append(item)
+            if self._closed:
+                # A close + drain may have run since the check above: take
+                # the item back unless a consumer or the drain already has.
+                try:
+                    items.remove(item)
+                except ValueError:
+                    return True
+                raise TargetShutdownError(self._owner)
+            depth = len(items) - self._control
+            if depth > self.high_water:
+                self.high_water = depth
+            if self._idle:
+                with self._lock:
+                    self._not_empty.notify()
+            return True
         hooks = _inj.hooks
         if (
             hooks is not None
             and hooks.force_queue_full is not None
-            and self.capacity is not None
             and hooks.force_queue_full(self._owner)
         ):
             # Fault injection: behave exactly as a bounded put that found no
             # space within its budget, so every rejection policy is reachable
             # without actually wedging the queue.
             return False
-        with self._not_full:
-            if self.capacity is not None:
-                if block:
-                    ok = self._not_full.wait_for(
-                        lambda: self._closed or self._work < self.capacity,
-                        timeout=timeout,
-                    )
-                    if self._closed:
-                        raise TargetShutdownError(self._owner)
-                    if not ok:
-                        return False
-                elif self._work >= self.capacity:
+        with self._lock:
+            if block:
+                ok = self._not_full.wait_for(
+                    lambda: self._closed or self.work_count() < self.capacity,
+                    timeout=timeout,
+                )
+                if self._closed:
+                    raise TargetShutdownError(self._owner)
+                if not ok:
                     return False
+            elif self.work_count() >= self.capacity:
+                return False
             if self._closed:
                 raise TargetShutdownError(self._owner)
             self._items.append(item)
-            if not _is_control(item):
-                self._work += 1
-                if self._work > self.high_water:
-                    self.high_water = self._work
-            self._not_empty.notify()
+            depth = len(self._items) - self._control
+            if depth > self.high_water:
+                self.high_water = depth
+            if self._idle:
+                self._not_empty.notify()
         return True
 
     def put_internal(self, item: Any) -> None:
         """Enqueue a control sentinel, ignoring capacity and closure."""
-        with self._not_empty:
+        with self._lock:
             self._items.append(item)
+            self._control += 1
             self._not_empty.notify()
 
     # ------------------------------------------------------------- consumers
 
-    def get(self, timeout: float | None = None) -> Any:
-        with self._not_empty:
-            if not self._not_empty.wait_for(lambda: self._items, timeout=timeout):
-                raise queue.Empty
-            item = self._items.pop(0)
-            if not _is_control(item):
-                self._work -= 1
-            self._not_full.notify()
-            return item
+    def get_batch(self, max_items: int = 1, timeout: float | None = None) -> list[Any]:
+        """Dequeue up to *max_items* head items: the queue's only dequeue.
 
-    def get_nowait(self) -> Any:
-        with self._not_empty:
-            if not self._items:
-                raise queue.Empty
-            item = self._items.pop(0)
-            if not _is_control(item):
-                self._work -= 1
-            self._not_full.notify()
-            return item
-
-    def get_batch(self, max_items: int, timeout: float | None = None) -> list[Any]:
-        """Dequeue up to *max_items* head items in one lock acquisition.
-
-        The dequeue-batching primitive: FIFO order is preserved exactly, and
-        control sentinels stay batch barriers — a sentinel at the head is
-        returned alone, and collection stops *before* any later sentinel, so
-        shutdown/retire ordering semantics ("everything queued before the
-        sentinel still runs first") are identical to item-at-a-time ``get``.
-        Raises ``queue.Empty`` if nothing arrived within *timeout*.
+        Blocks until at least one item is queued, at most *timeout* seconds
+        (``0`` polls once); raises ``queue.Empty`` when none arrived.  FIFO
+        order is preserved exactly, and control sentinels stay batch
+        barriers — a sentinel at the head is returned alone, and collection
+        stops *before* any later sentinel, so shutdown/retire ordering
+        ("everything queued before the sentinel still runs first") is the
+        same for batches as for single items.
         """
-        with self._not_empty:
-            if not self._not_empty.wait_for(lambda: self._items, timeout=timeout):
-                raise queue.Empty
-            batch: list[Any] = []
-            freed = 0
-            while self._items and len(batch) < max_items:
-                head = self._items[0]
-                if _is_control(head):
+        bounded = self.capacity is not None
+        deadline = None
+        while True:
+            if bounded:
+                with self._lock:
+                    batch = self._pop(max_items)
                     if batch:
-                        break  # the sentinel waits for the next acquisition
-                    batch.append(self._items.pop(0))
-                    break
-                batch.append(self._items.pop(0))
-                self._work -= 1
-                freed += 1
-            if freed:
-                self._not_full.notify(freed)
+                        if _is_control(batch[0]):
+                            self._control -= 1
+                        self._not_full.notify(len(batch))
+                        return batch
             else:
-                self._not_full.notify()
-            return batch
+                batch = self._pop(max_items)
+                if batch:
+                    if _is_control(batch[0]):
+                        with self._lock:
+                            self._control -= 1
+                    return batch
+            remaining = None
+            if timeout is not None:
+                if deadline is None:
+                    deadline = time.monotonic() + timeout
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise queue.Empty
+            items = self._items
+            with self._lock:
+                self._idle += 1  # before the re-check: see the class docstring
+                try:
+                    self._not_empty.wait_for(lambda: items, remaining)
+                finally:
+                    self._idle -= 1
+
+    def _pop(self, max_items: int) -> list[Any]:
+        """Pop up to *max_items* head items, stopping at a sentinel."""
+        items = self._items
+        batch: list[Any] = []
+        while len(batch) < max_items:
+            try:
+                item = items.popleft()
+            except IndexError:
+                break
+            if _is_control(item):
+                if batch:
+                    items.appendleft(item)  # the sentinel waits for the next call
+                else:
+                    batch.append(item)
+                break
+            batch.append(item)
+        return batch
 
     def steal_work(self) -> Any | None:
-        """Remove and return the oldest queued work item for a ring thief.
+        """Remove and return the head work item for a ring thief.
 
         Returns None when the queue is closed (teardown owns the backlog
-        then — ``drain_items`` and this method serialise on the queue lock,
-        so an item is either stolen or cancelled, never both) or holds no
-        work.  Sentinels are skipped: they address this target's own loops.
+        then), is empty, or has a sentinel at its head (sentinels address
+        this target's own loops).  Every removal pops the one deque, so an
+        item is stolen, dequeued or drained by exactly one party.
         """
         with self._lock:
             if self._closed:
                 return None
-            for i, item in enumerate(self._items):
-                if not _is_control(item):
-                    del self._items[i]
-                    self._work -= 1
-                    self._not_full.notify()
-                    return item
-            return None
+            items = self._items
+            if not items or _is_control(items[0]):
+                return None
+            item = items.popleft()
+            if _is_control(item):
+                items.appendleft(item)  # a lock-free consumer raced the peek
+                return None
+            self._not_full.notify()
+            return item
 
     # -------------------------------------------------------------- teardown
 
@@ -307,25 +364,36 @@ class _TargetQueue:
             self._not_empty.notify_all()
 
     def drain_items(self) -> list[Any]:
-        """Atomically remove and return everything queued (teardown helper)."""
+        """Remove and return everything queued (teardown helper).
+
+        Pops from the live deque instead of swapping it for an empty one:
+        lanes parked on the queue watch that deque object, and the shutdown
+        sentinels queued after the drain must land where they look.
+        """
+        drained: list[Any] = []
         with self._lock:
-            items, self._items = self._items, []
-            self._work = 0
+            items = self._items
+            while items:
+                try:
+                    drained.append(items.popleft())
+                except IndexError:
+                    break  # a lock-free consumer took the last item
+            self._control -= sum(1 for item in drained if _is_control(item))
             self._not_full.notify_all()
-            return items
+        return drained
 
     def qsize(self) -> int:
-        with self._lock:
-            return len(self._items)
+        return len(self._items)
 
     def work_count(self) -> int:
         """Queued *work* items (sentinels excluded) — the queue-depth sample.
 
-        Lock-free: the counter is a single int maintained under the queue
-        lock; reading it races only by one item, which a telemetry sample
-        tolerates.
+        Lock-free and exact at rest; while a consumer is between popping a
+        sentinel and uncounting it the figure can run one low, which a
+        telemetry sample tolerates (bounded queues read it under the lock,
+        where it is exact).
         """
-        return self._work
+        return max(0, len(self._items) - self._control)
 
 
 class VirtualTarget(abc.ABC):
@@ -607,7 +675,7 @@ class VirtualTarget(abc.ABC):
         runnable task in Pyjama's task queue"* (paper §IV-B).
         """
         try:
-            item = self._queue.get(timeout=timeout)
+            [item] = self._queue.get_batch(timeout=timeout)
         except queue.Empty:
             return False
         if item is _SHUTDOWN:
@@ -837,7 +905,7 @@ class VirtualTarget(abc.ABC):
         try:
             while True:
                 try:
-                    item = self._queue.get_nowait()
+                    [item] = self._queue.get_batch(timeout=0)
                 except queue.Empty:
                     return count
                 if item is _SHUTDOWN:
@@ -872,9 +940,10 @@ class WorkerTarget(VirtualTarget):
     * ``steal=True`` — idle lanes take work from sibling targets in the
       runtime's :class:`~repro.policy.StealRing` (and expose their own queue
       to it); otherwise the lanes block on their own queue exactly as before.
-    * ``batch_max>1`` — each queue acquisition drains up to ``batch_max``
-      items back-to-back, amortising the dispatch fast-path for small
-      regions.  1 (the default) is item-at-a-time, the pre-policy behaviour.
+    * ``batch_max>1`` — each dequeue call takes up to ``batch_max`` items
+      and runs them back-to-back, amortising the per-call overhead for
+      small regions.  1 (the default) is item-at-a-time, the pre-policy
+      behaviour.
     * ``autoscale=True`` — a :class:`~repro.policy.PoolAutoscaler` grows and
       shrinks the lane count between ``autoscale_min`` and ``autoscale_max``
       against the observed queue depth, with hysteresis.
@@ -1192,7 +1261,7 @@ class EdtTarget(VirtualTarget):
         self._require_edt()
         self._loop_started.set()
         while True:
-            item = self._queue.get()
+            [item] = self._queue.get_batch()
             if item is _SHUTDOWN:
                 self._stopped.set()
                 return

@@ -9,9 +9,15 @@ behaviour bit-for-bit unless asked:
   work from the most-backlogged sibling target that also opted in, emitting
   ``PUMP_STEAL`` events with victim/thief attribution;
 * **dequeue batching** (the ``batch_max`` knob, enforced by
-  ``repro.core.targets._TargetQueue.get_batch``) — a worker lane drains up
-  to ``batch_max`` small regions per queue acquisition, amortising the
-  ~8 µs dispatch fast-path;
+  ``repro.core.targets._TargetQueue.get_batch``, the queue's single
+  dequeue) — a worker lane takes up to ``batch_max`` small regions per
+  dequeue call, amortising the per-call dispatch overhead.  On an unbounded
+  queue that call takes no lock: the lane pops the deque directly and locks
+  only to park on an empty queue.  Two orderings make the lock-free handoff
+  safe: the lane raises the queue's idle count before its last emptiness
+  check while a poster reads it after appending, and a poster re-checks
+  ``_closed`` after appending while teardown pops the same deque (see the
+  ``_TargetQueue`` docstring);
 * **pool autoscaling** (:class:`PoolAutoscaler`) — a worker pool grows and
   shrinks its lane count against observed queue depth with hysteresis,
   emitting a ``POOL_SCALE`` event for every decision.

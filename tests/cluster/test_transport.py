@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import select
 import socket
 import struct
 import threading
+import time
 
 import pytest
 
+from repro.core import PjRuntime
 from repro.core.errors import ProtocolVersionError, RuntimeStateError
 from repro.cluster.transport import (
     MAX_FRAME_BYTES,
@@ -178,3 +181,33 @@ class TestHello:
         _a, b = loopback_pair()
         with pytest.raises(RuntimeStateError, match="no hello"):
             expect_hello(b, timeout=0.05)
+
+
+class TestZeroTimeoutPoll:
+    """``poll(0)`` must read the socket: the supervisor's control drain
+    polls with a zero timeout and otherwise never sees a pong."""
+
+    def test_poll_zero_sees_a_frame_already_on_the_socket(self):
+        client, server = tcp_pair()
+        try:
+            client.send(wire.PingMsg(1))
+            # Wait for the bytes to reach the server's socket without
+            # reading them, then ask with a zero timeout.
+            readable, _, _ = select.select([server._sock], [], [], 5.0)
+            assert readable
+            assert server.poll(0)
+            assert server.recv().sent_ns == 1
+            assert not server.poll(0)
+        finally:
+            client.close()
+            server.close()
+
+    def test_idle_cluster_lane_is_not_restarted(self, agent):
+        rt = PjRuntime()
+        try:
+            rt.create_cluster("idle", [agent.endpoint])
+            assert rt.invoke_target_block("idle", lambda: 7, "default").result() == 7
+            time.sleep(8.0)  # several heartbeat-timeout periods
+            assert rt.get_target("idle").restart_count == 0
+        finally:
+            rt.shutdown(wait=False)
