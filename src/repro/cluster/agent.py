@@ -14,16 +14,16 @@ Per connection, after the version handshake
 there with :class:`~repro.core.errors.ProtocolVersionError`, never inside
 message dispatch):
 
-* a ``task`` connection gets a thread running the worker task loop —
-  answer :class:`~repro.dist.wire.SyncMsg` clock probes, execute
+* a ``task`` connection gets a thread running the *same* task loop a
+  process worker's main thread runs (:func:`repro.dist.worker._task_loop`)
+  — answer :class:`~repro.dist.wire.SyncMsg` clock probes, execute
   :class:`~repro.dist.wire.TaskMsg`/:class:`~repro.dist.wire.ClusterTaskMsg`
-  via the *same* :func:`repro.dist.worker._run_task` a process worker uses
   (regions run as real ``TargetRegion`` instances with working cancel
   tokens), ship :class:`~repro.dist.wire.ResultMsg` back — with a
   :class:`~repro.dist.wire.TagDoneMsg` first when the task carries a tag;
-* a ``ctrl`` connection gets a thread answering heartbeat pings and
-  applying cooperative cancellation to the slot's currently executing
-  region, exactly like a process worker's control thread.
+* a ``ctrl`` connection gets a thread running a process worker's control
+  loop (:func:`repro.dist.worker._control_loop`): heartbeat pongs and
+  cooperative cancellation of the slot's currently executing region.
 
 Because slots are threads in one agent process, an agent is a *locality*
 unit, not an isolation unit — one agent dying takes all its slots with it,
@@ -48,8 +48,7 @@ from typing import Any
 
 from ..core.errors import ProtocolVersionError, RuntimeStateError
 from ..dist import wire
-from ..dist.worker import WorkerConfig, _Current, _run_task
-from ..obs.events import now_ns
+from ..dist.worker import WorkerConfig, _control_loop, _Current, _task_loop
 from . import transport as _transport
 
 __all__ = ["ClusterAgent", "AgentHandle", "spawn_agent_process", "announce_line"]
@@ -98,7 +97,6 @@ class ClusterAgent:
         self._transports: list[Any] = []
         self._threads: list[threading.Thread] = []
         self.connections_served = 0
-        self.tasks_executed = 0
 
     # ------------------------------------------------------------- lifecycle
 
@@ -115,6 +113,12 @@ class ClusterAgent:
     @property
     def running(self) -> bool:
         return self._listener is not None and not self._stop.is_set()
+
+    @property
+    def tasks_executed(self) -> int:
+        """Region bodies this agent has started, across all lanes."""
+        with self._lock:
+            return sum(current.executed for current in self._currents.values())
 
     def start(self) -> "ClusterAgent":
         if self._listener is not None:
@@ -223,10 +227,12 @@ class ClusterAgent:
             threading.current_thread().name = (
                 f"repro-cluster-{hello.role}-{hello.target_name}-{hello.slot}"
             )
+            # stop() closes every transport, so a blocked recv raises and
+            # the shared worker loops return.
             if hello.role == "task":
-                self._task_loop(tr, hello, current)
+                _task_loop(tr, WorkerConfig(hello.target_name, hello.slot), current)
             elif hello.role == "ctrl":
-                self._ctrl_loop(tr, current)
+                _control_loop(tr, current)
             else:
                 _logger.warning("unknown connection role %r; closing", hello.role)
         finally:
@@ -243,62 +249,6 @@ class ClusterAgent:
         # cancels whatever region the task loop registered.
         with self._lock:
             return self._currents.setdefault((target_name, slot), _Current())
-
-    # ----------------------------------------------------------- task / ctrl
-
-    def _task_loop(self, tr: Any, hello: wire.HelloMsg, current: _Current) -> None:
-        """The socket twin of ``worker_main``'s main loop."""
-        config = WorkerConfig(hello.target_name, hello.slot)
-        while not self._stop.is_set():
-            try:
-                msg = tr.recv()
-            except (EOFError, OSError):
-                return  # parent went away (or reclaimed the lane)
-            if isinstance(msg, wire.SyncMsg):
-                try:
-                    tr.send(wire.SyncAck(now_ns(), os.getpid()))
-                except (OSError, ValueError):
-                    return
-                continue
-            if isinstance(msg, wire.StopMsg):
-                return
-            if not isinstance(msg, (wire.TaskMsg, wire.ClusterTaskMsg)):
-                continue  # unknown message from a newer parent: skip, stay alive
-            tag = getattr(msg, "tag", None)
-            notify = None
-            if tag is not None:
-                def notify(region, _seq=msg.seq, _tag=tag):
-                    outcome = (
-                        "failed" if region.exception is not None else "completed"
-                    )
-                    try:
-                        tr.send(wire.TagDoneMsg(_seq, _tag, outcome))
-                    except (OSError, ValueError):
-                        pass  # the ResultMsg send below will surface the tear
-            result = _run_task(msg, config, current, on_body_done=notify)
-            with self._lock:
-                self.tasks_executed += 1
-            try:
-                tr.send(result)
-            except (OSError, ValueError, EOFError):
-                return  # parent tore the connection mid-result
-
-    def _ctrl_loop(self, tr: Any, current: _Current) -> None:
-        """The socket twin of ``worker._control_loop``."""
-        while not self._stop.is_set():
-            try:
-                msg = tr.recv()
-            except (EOFError, OSError):
-                return
-            if isinstance(msg, wire.PingMsg):
-                try:
-                    tr.send(wire.PongMsg(msg.sent_ns, os.getpid()))
-                except (OSError, ValueError):
-                    return
-            elif isinstance(msg, wire.CancelMsg):
-                current.cancel(msg.seq)
-            elif isinstance(msg, wire.StopMsg):
-                return
 
 
 # ------------------------------------------------------------- subprocess

@@ -10,16 +10,19 @@ interpreter's GIL, so CPU-bound kernels scale with cores.
 
 Module map:
 
-* :mod:`~repro.dist.process_target` — the target itself: per-slot shipper
-  threads, crash-to-:class:`~repro.core.errors.WorkerCrashedError` conversion,
-  cross-process cancellation, shutdown semantics;
-* :mod:`~repro.dist.worker` — the child-process entry point (task loop +
-  control thread);
+* :mod:`~repro.dist.remote_target` — ``RemoteTarget`` and ``RemoteSlot``,
+  the base shared with :mod:`repro.cluster`: per-slot shipper threads,
+  crash-to-:class:`~repro.core.errors.WorkerCrashedError` conversion,
+  cross-process cancellation, restart budgets, shutdown semantics, the
+  clock handshake;
+* :mod:`~repro.dist.process_target` — the process slot kind: spawning a
+  worker and process liveness;
+* :mod:`~repro.dist.worker` — the remote side: the task and control loops
+  a worker process (and a cluster agent) runs;
 * :mod:`~repro.dist.wire` — serialization (cloudpickle when available) and
   the message protocol;
-* :mod:`~repro.dist.supervisor` — heartbeats, restarts, restart budgets
-  (generalised over a slot interface, so :mod:`repro.cluster` reuses it
-  for socket-connected remote workers);
+* :mod:`~repro.dist.supervisor` — heartbeats and idle-lane restarts over
+  the ``RemoteSlot`` interface;
 * :mod:`~repro.dist.remote_obs` — worker-side event capture and re-stamping
   onto the parent's trace clock.
 

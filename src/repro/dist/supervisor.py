@@ -36,14 +36,14 @@ through a long region — ``Process.is_alive()`` alone cannot distinguish
 
 Slot interface
 --------------
-Each entry of ``target._slots`` must provide: ``lock`` (RLock), the flags
-``disabled``/``busy``/``last_pong``/``index``, the properties/methods
-``connected`` (a worker is attached), ``is_alive()`` (it is believed live),
-``drain_control()`` (absorb pending control-channel messages, refreshing
-``last_pong`` on pongs), ``exit_label()`` (human-readable cause of death
-for the log line), ``terminate()`` and ``send_ping()`` — plus a
-``target._respawn_slot(slot)`` entry point.  ``_WorkerSlot`` implements it
-over a process + pipes; ``_ClusterSlot`` over two socket transports.
+The sweep reads ``target._slots``, a list of
+:class:`~repro.dist.remote_target.RemoteSlot` (``lock``, ``disabled``/
+``busy``/``last_pong``/``index``/``pid``, ``connected``, ``is_alive()``,
+``drain_control()``, ``exit_label()``, ``terminate()``, ``send_ping()``),
+and calls ``target._respawn_slot(slot)``
+(:class:`~repro.dist.remote_target.RemoteTarget`).  A process target's
+slots implement liveness over a worker process, a cluster target's over two
+socket transports (:mod:`repro.dist.remote_target`).
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ class Supervisor:
 
     def __init__(
         self,
-        target,  # ProcessTarget/ClusterTarget; untyped: circular import
+        target,  # a RemoteTarget; untyped: circular import
         *,
         interval: float = 1.0,
         misses: int = 3,

@@ -11,6 +11,9 @@ worker runs two threads:
   cooperative cancellation — it owns the control pipe, so both keep working
   while the main thread is deep inside a region body.
 
+A cluster worker agent (:mod:`repro.cluster.agent`) runs the same two loops,
+:func:`_task_loop` and :func:`_control_loop`, per lane over sockets.
+
 Regions execute as real :class:`~repro.core.region.TargetRegion` instances,
 so worker-side user code keeps the full in-process contract:
 ``current_region()`` resolves, and ``current_region().cancel_token`` is the
@@ -58,16 +61,18 @@ class _Current:
     """The region the main thread is executing, shared with the control
     thread under a lock so cancel requests can find its token."""
 
-    __slots__ = ("_lock", "_seq", "_region")
+    __slots__ = ("_lock", "_seq", "_region", "executed")
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._seq: int | None = None
         self._region: TargetRegion | None = None
+        self.executed = 0  # region bodies started on this lane
 
     def set(self, seq: int, region: TargetRegion) -> None:
         with self._lock:
             self._seq, self._region = seq, region
+            self.executed += 1
 
     def clear(self) -> None:
         with self._lock:
@@ -104,16 +109,19 @@ def _error_result(seq: int, exc: BaseException, log: WorkerEventLog) -> wire.Res
 
 
 def _run_task(
-    msg: wire.TaskMsg,
+    msg: wire.TaskMsg | wire.ClusterTaskMsg,
     config: WorkerConfig,
     current: _Current,
-    on_body_done=None,
+    task_conn: Any,
 ) -> wire.ResultMsg:
     """Execute one task; always returns a ResultMsg (never raises).
 
-    ``on_body_done(region)``, when given, fires the moment the body returns
-    — before the result is serialized — so callers can announce completion
-    (cluster tag notifications) at body latency, not result-transfer latency.
+    A task carrying a non-None ``tag`` (a :class:`~repro.dist.wire.ClusterTaskMsg`
+    of a ``name_as`` region) gets a :class:`~repro.dist.wire.TagDoneMsg` on
+    *task_conn* the moment the body returns — before the result is
+    serialized — so completion shows at body latency, not result-transfer
+    latency.  A process worker's :class:`~repro.dist.wire.TaskMsg` has no
+    tag and never does.
     """
     log = WorkerEventLog()
     try:
@@ -139,11 +147,13 @@ def _run_task(
     finally:
         current.clear()
 
-    if on_body_done is not None:
+    tag = getattr(msg, "tag", None)
+    if tag is not None:
+        outcome = "failed" if region.exception is not None else "completed"
         try:
-            on_body_done(region)
-        except Exception:  # noqa: BLE001 - a notification must not kill the task
-            pass
+            task_conn.send(wire.TagDoneMsg(msg.seq, tag, outcome))
+        except (OSError, ValueError):
+            pass  # the ResultMsg send will surface the tear
     if region.exception is not None:
         return _error_result(msg.seq, region.exception, log)
     try:
@@ -167,17 +177,25 @@ def worker_main(config: WorkerConfig, task_conn: Any, ctrl_conn: Any) -> None:
         daemon=True,
     )
     ctrl.start()
+    _task_loop(task_conn, config, current)
 
+
+def _task_loop(task_conn: Any, config: WorkerConfig, current: _Current) -> None:
+    """Serve one lane's task channel until StopMsg or the channel tears.
+
+    The one task loop of both remote kinds: a process worker's main thread
+    runs it over a pipe, a cluster agent's connection thread over a socket.
+    """
     while True:
         try:
             msg = task_conn.recv()
         except (EOFError, OSError):
-            return  # parent went away: nothing left to serve
+            return  # parent went away (or reclaimed the lane)
         if isinstance(msg, wire.SyncMsg):
             # Clock-sync probe: answer as fast as possible so the parent's
             # round-trip midpoint estimate is tight.  The parent probes twice
-            # at spawn — the first round absorbs interpreter startup, only
-            # the second (warm, pure pipe latency) sets the offset.
+            # per lane — the first round absorbs start-up, only the second
+            # (warm, pure channel latency) sets the offset.
             try:
                 task_conn.send(wire.SyncAck(now_ns(), os.getpid()))
             except (OSError, ValueError):
@@ -185,10 +203,10 @@ def worker_main(config: WorkerConfig, task_conn: Any, ctrl_conn: Any) -> None:
             continue
         if isinstance(msg, wire.StopMsg):
             return
-        if not isinstance(msg, wire.TaskMsg):
+        if not isinstance(msg, (wire.TaskMsg, wire.ClusterTaskMsg)):
             continue  # unknown message from a newer parent: skip, stay alive
-        result = _run_task(msg, config, current)
+        result = _run_task(msg, config, current, task_conn)
         try:
             task_conn.send(result)
         except (OSError, ValueError, EOFError):
-            return  # parent tore the pipe mid-result
+            return  # parent tore the channel mid-result

@@ -16,25 +16,38 @@ error; the streams the ring buffers keep are small enough to sort).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
 from .events import EventKind, TraceEvent
 
-__all__ = ["LatencyStats", "TargetMetrics", "TraceMetrics", "compute_metrics", "format_metrics"]
+__all__ = [
+    "LatencyStats",
+    "TargetMetrics",
+    "TraceMetrics",
+    "compute_metrics",
+    "format_metrics",
+    "percentile",
+]
 
 
-def _percentile(sorted_values: list[float], q: float) -> float:
-    """Nearest-rank-with-interpolation percentile of an ascending list."""
-    if not sorted_values:
-        return 0.0
-    if len(sorted_values) == 1:
-        return sorted_values[0]
-    pos = (len(sorted_values) - 1) * q
-    lo = int(pos)
-    hi = min(lo + 1, len(sorted_values) - 1)
-    frac = pos - lo
-    return sorted_values[lo] * (1.0 - frac) + sorted_values[hi] * frac
+def percentile(samples: Iterable[float], pct: float) -> float:
+    """Linear-interpolated percentile, *pct* in [0, 100] (numpy-free;
+    deterministic).  The package's one percentile: trace metrics, the bench
+    harness and the simulator's response statistics all call it."""
+    xs = sorted(samples)
+    if not xs:
+        raise ValueError("percentile of empty sample set")
+    if len(xs) == 1:
+        return xs[0]
+    rank = (pct / 100.0) * (len(xs) - 1)
+    lo = math.floor(rank)
+    hi = math.ceil(rank)
+    if lo == hi:
+        return xs[lo]
+    frac = rank - lo
+    return xs[lo] * (1.0 - frac) + xs[hi] * frac
 
 
 @dataclass
@@ -56,9 +69,9 @@ class LatencyStats:
         return cls(
             count=len(ms),
             mean=sum(ms) / len(ms),
-            p50=_percentile(ms, 0.50),
-            p95=_percentile(ms, 0.95),
-            p99=_percentile(ms, 0.99),
+            p50=percentile(ms, 50.0),
+            p95=percentile(ms, 95.0),
+            p99=percentile(ms, 99.0),
             max=ms[-1],
         )
 
