@@ -18,6 +18,12 @@ Results are archived as ``benchmarks/results/bench_cluster_dispatch.json``
 benchmark feeds ``python -m repro bench --filter cluster`` so CI can gate
 regressions with ``--compare`` against
 ``benchmarks/results/bench_cluster_dispatch_baseline.json``.
+
+``process_echo_1m`` and ``cluster_echo_1m`` time the data plane instead: a
+``default``-mode round trip of a 1 MiB uint8 array that the remote body
+echoes back, so the payload crosses the channel twice
+(``benchmarks/results/remote_echo_before.json`` / ``remote_echo_after.json``
+archive them before and after the out-of-band buffer change).
 """
 
 from __future__ import annotations
@@ -25,6 +31,8 @@ from __future__ import annotations
 import json
 import pathlib
 import time
+
+import numpy as np
 
 from repro import bench as hbench
 from repro.cluster import spawn_agent_process
@@ -49,8 +57,50 @@ def _nap() -> float:
     return _SLEEP_S
 
 
+def _echo(value):
+    """Module-level (picklable) body that ships its argument back."""
+    return value
+
+
 def _await_roundtrip(rt: PjRuntime, name: str) -> None:
     rt.invoke_target_block(name, TargetRegion(_nop))
+
+
+def _echo_1m(rt: PjRuntime, name: str, cleanup):
+    """The timed op of a 1 MiB echo on target *name*, checked once first."""
+    payload = np.random.default_rng(0).integers(0, 256, 1 << 20, dtype=np.uint8)
+
+    def op():
+        return rt.invoke_target_block(name, TargetRegion(_echo, payload)).result()
+
+    if not np.array_equal(op(), payload):  # first use; also the check
+        cleanup()
+        raise RuntimeError(f"1 MiB echo on {name!r} came back different")
+    return op, cleanup
+
+
+@hbench.benchmark("process_echo_1m", group="cluster", slow=True, tags=("cluster", "dist"))
+def _process_echo_1m_registered():
+    """Default-mode round trip of a 1 MiB uint8 array echoed by a one-worker
+    process target (worker spawn happens in setup)."""
+    rt = PjRuntime()
+    rt.create_process_worker("bench-echo", 1)
+    return _echo_1m(rt, "bench-echo", lambda: rt.shutdown(wait=False))
+
+
+@hbench.benchmark("cluster_echo_1m", group="cluster", slow=True, tags=("cluster", "dist"))
+def _cluster_echo_1m_registered():
+    """Default-mode round trip of a 1 MiB uint8 array echoed by a one-lane
+    cluster target over loopback TCP (agent spawn + connect in setup)."""
+    agent = spawn_agent_process()
+    rt = PjRuntime()
+    rt.create_cluster("bench-echo", [agent.endpoint])
+
+    def cleanup() -> None:
+        rt.shutdown(wait=False)
+        agent.close()
+
+    return _echo_1m(rt, "bench-echo", cleanup)
 
 
 @hbench.benchmark(

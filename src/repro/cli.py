@@ -573,8 +573,9 @@ def cmd_dist_info(args: argparse.Namespace) -> int:
         ("defaults", "max_restarts=3 heartbeat=1.0sx3 cancel_grace=5.0s"),
         ("cluster protocol", f"version {PROTOCOL_VERSION} "
          "(hello handshake on every connection)"),
-        ("cluster framing", "4-byte big-endian length prefix + pickled "
-         f"message, max frame {MAX_FRAME_BYTES // (1024 * 1024)} MiB"),
+        ("framing", "4-byte big-endian length prefix + protocol-5 pickle, "
+         "array data as out-of-band parts (process and cluster lanes), max "
+         f"cluster frame {MAX_FRAME_BYTES // (1024 * 1024)} MiB"),
         ("cluster agent", "python -m repro cluster-worker --listen HOST:PORT"),
     ]
     width = max(len(label) for label, _ in rows)

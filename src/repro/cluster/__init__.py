@@ -8,14 +8,14 @@ layer (``virtual(name)``, scheduling clauses, ``timeout=``, backpressure
 policies, ``wait_tag``) works on it unchanged; region bodies execute on
 **cluster worker agents** (``python -m repro cluster-worker``) reached over
 TCP, with the dist machinery (shippers, supervisor, heartbeats, restart
-budgets, clock-synced trace merge) running over a transport abstraction
-instead of pipes.
+budgets, clock-synced trace merge) running over the same framed socket
+channel as process lanes.
 
 Module map:
 
 * :mod:`~repro.cluster.transport` — framed, versioned message transports:
-  the :class:`~repro.cluster.transport.Transport` interface, TCP
-  length-prefixed frames, in-process loopback pairs, the hello/version
+  the :class:`~repro.cluster.transport.Transport` interface, the TCP
+  socket channel, in-process loopback pairs, the hello/version
   handshake;
 * :mod:`~repro.cluster.agent` — the remote worker agent (accept loop, task
   and control threads per connection) and

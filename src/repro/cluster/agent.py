@@ -2,11 +2,11 @@
 
 ``python -m repro cluster-worker --listen HOST:PORT`` runs a
 :class:`ClusterAgent` — the cluster counterpart of
-:func:`repro.dist.worker.worker_main`, with the ``multiprocessing`` pipes
-replaced by accepted TCP connections.  One agent process hosts any number
-of worker *slots*: a parent-side :class:`~repro.cluster.target.ClusterTarget`
-opens **two** connections per slot (a ``task`` channel and a ``ctrl``
-channel, mirroring the two pipes of a process target) and the agent pairs
+:func:`repro.dist.worker.worker_main`, with the socketpairs replaced by
+accepted TCP connections.  One agent process hosts any number of worker
+*slots*: a parent-side :class:`~repro.cluster.target.ClusterTarget` opens
+**two** connections per slot (a ``task`` channel and a ``ctrl`` channel,
+mirroring the two socketpairs of a process target) and the agent pairs
 them by the ``(target_name, slot)`` identity carried in the hello frames.
 
 Per connection, after the version handshake

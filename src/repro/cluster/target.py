@@ -3,8 +3,8 @@
 The multi-host counterpart of
 :class:`~repro.dist.process_target.ProcessTarget`: the worker lanes are
 slots on **cluster worker agents** (:mod:`repro.cluster.agent`), reached
-over two TCP transports each (``task`` and ``ctrl``) instead of pipes to
-child processes.  That completes the arXiv:2207.05677 / 2205.10656 "remote
+over two TCP transports each (``task`` and ``ctrl``) instead of socketpairs
+to child processes.  That completes the arXiv:2207.05677 / 2205.10656 "remote
 device" move: the same ``target`` program runs on threads, processes, or a
 set of hosts, chosen per target name at configuration time.
 
@@ -230,7 +230,7 @@ class ClusterTarget(RemoteTarget):
         return task, ctrl
 
     def _task_message(
-        self, region: TargetRegion, blob: bytes, trace: bool
+        self, region: TargetRegion, blob: tuple, trace: bool
     ) -> wire.ClusterTaskMsg:
         return wire.ClusterTaskMsg(
             region.seq, region.name, region.source, blob, trace, region.tag

@@ -1,30 +1,31 @@
 """Framed, versioned message transports for cluster targets.
 
-``repro.dist`` ships messages over ``multiprocessing.Pipe`` connections; a
-cluster target ships the *same* messages (:mod:`repro.dist.wire`) to worker
-agents on other hosts.  This module defines the transport abstraction both
-ride on, and the two concrete implementations the cluster layer uses:
+A cluster target ships the *same* messages (:mod:`repro.dist.wire`) to
+worker agents on other hosts that a process target ships to its worker
+processes, over the *same* channel class
+(:class:`~repro.dist.channel.SocketChannel`).  This module defines the
+transport interface and the two concrete ends the cluster layer uses:
 
 * :class:`Transport` — the structural interface: ``send(msg)`` /
   ``recv()`` / ``poll(timeout)`` / ``close()`` plus the liveness flags
-  ``closed`` and ``eof``.  It is deliberately the subset of
-  ``multiprocessing.Connection`` the dist machinery already consumes, so
-  the shipper/supervisor/heartbeat/restart logic generalises over pipes,
-  loopback pairs and sockets without caring which it holds.
+  ``closed`` and ``eof``, the subset the remote machinery consumes, so the
+  shipper/supervisor/heartbeat/restart logic generalises over socketpairs,
+  loopback pairs and TCP without caring which it holds.
 * :class:`LoopbackTransport` — an in-process pair
   (:func:`loopback_pair`) backed by deques and condition variables.
-  Messages still make a full pickle round trip, so tests exercise the real
+  Messages still go through the channel codec, so tests exercise the real
   serialization constraints without opening sockets.
-* :class:`TcpTransport` — a TCP socket carrying length-prefixed frames:
-  a 4-byte big-endian length header followed by the pickled message.
+* :class:`TcpTransport` — the socket channel over TCP: length-prefixed,
+  possibly multi-part frames whose out-of-band parts carry array data
+  uncopied (the frame layout is in :mod:`repro.dist.channel`).
   ``TCP_NODELAY`` is set (one small frame per dispatch hop; Nagle would
-  serialize the protocol's ping-pongs at 40 ms each).
+  serialize the protocol's ping-pongs at 40 ms each).  A frame above
+  :data:`MAX_FRAME_BYTES` tears the connection as desynchronized.
 
-Failure mapping mirrors pipes so existing error handling transfers: a send
-on a closed/torn transport raises :class:`OSError`, a recv past the peer's
-close raises :class:`EOFError`, and ``poll`` returns True when a recv
-would not block (including when it would raise ``EOFError`` — the caller
-finds the tear immediately instead of sleeping on a corpse).
+A send on a closed/torn transport raises :class:`OSError`, a recv past the
+peer's close raises :class:`EOFError`, and ``poll`` returns True when a
+recv would not block (including when it would raise ``EOFError`` — the
+caller finds the tear immediately instead of sleeping on a corpse).
 
 Every cluster connection opens with a version handshake: both ends send a
 :class:`~repro.dist.wire.HelloMsg` carrying
@@ -39,17 +40,16 @@ from __future__ import annotations
 
 import collections
 import os
-import pickle
-import select
 import socket
-import struct
 import threading
 from typing import Any, Protocol, runtime_checkable
 
 from ..core.errors import RuntimeStateError
 from ..dist import wire
+from ..dist.channel import MAX_FRAME_BYTES, SocketChannel, decode, encode
 
 __all__ = [
+    "MAX_FRAME_BYTES",
     "Transport",
     "LoopbackTransport",
     "TcpTransport",
@@ -62,14 +62,6 @@ __all__ = [
     "parse_endpoint",
 ]
 
-#: Length-prefix header: frame payload size as an unsigned 32-bit big-endian.
-_HEADER = struct.Struct(">I")
-
-#: Upper bound on a single frame (64 MiB).  A header above it means the
-#: stream desynchronized (or a hostile peer); tearing the connection beats
-#: allocating garbage.
-MAX_FRAME_BYTES = 64 * 1024 * 1024
-
 #: Budget for the peer's half of the hello handshake.
 HELLO_TIMEOUT = 10.0
 
@@ -78,9 +70,8 @@ HELLO_TIMEOUT = 10.0
 class Transport(Protocol):
     """Structural interface of one message channel end.
 
-    ``multiprocessing.Connection`` satisfies ``send``/``recv``/``poll``/
-    ``close`` natively — this protocol just names the contract the dist
-    machinery consumes, so pipe, loopback and TCP ends interchange.
+    It names the contract the remote machinery consumes, so socketpair,
+    loopback and TCP ends interchange.
     """
 
     def send(self, msg: Any) -> None: ...  # OSError when closed/torn
@@ -106,14 +97,14 @@ class _LoopbackChannel:
 
     def __init__(self) -> None:
         self.cond = threading.Condition()
-        self.items: collections.deque[bytes] = collections.deque()
+        self.items: collections.deque[list[Any]] = collections.deque()
         self.closed = False
 
-    def put(self, blob: bytes) -> None:
+    def put(self, parts: list[Any]) -> None:
         with self.cond:
             if self.closed:
                 raise OSError("loopback transport is closed")
-            self.items.append(blob)
+            self.items.append(parts)
             self.cond.notify_all()
 
     def close(self) -> None:
@@ -126,9 +117,11 @@ class LoopbackTransport:
     """In-process :class:`Transport` end; create pairs with
     :func:`loopback_pair`.
 
-    Messages pickle on send and unpickle on recv — the full serialization
-    constraint of the real wire, minus the socket — so a payload that
-    cannot cross a TCP transport cannot sneak through tests either.
+    Messages go through the channel codec (:func:`~repro.dist.channel.encode`
+    on send, :func:`~repro.dist.channel.decode` on recv) — the full
+    serialization constraint of the real wire, minus the socket — so a
+    payload that cannot cross a TCP transport cannot sneak through tests
+    either.  Out-of-band buffers are copied at send, as the socket would.
     """
 
     def __init__(self, tx: _LoopbackChannel, rx: _LoopbackChannel, label: str) -> None:
@@ -149,7 +142,8 @@ class LoopbackTransport:
     def send(self, msg: Any) -> None:
         if self._closed:
             raise OSError("transport is closed")
-        self._tx.put(pickle.dumps(msg))
+        stream, *oob = encode(msg)
+        self._tx.put([stream, *(bytearray(buf) for buf in oob)])
 
     def recv(self) -> Any:
         with self._rx.cond:
@@ -157,8 +151,8 @@ class LoopbackTransport:
                 if self._rx.closed or self._closed:
                     raise EOFError("loopback peer closed")
                 self._rx.cond.wait()
-            blob = self._rx.items.popleft()
-        return pickle.loads(blob)
+            parts = self._rx.items.popleft()
+        return decode(parts)
 
     def poll(self, timeout: float = 0.0) -> bool:
         with self._rx.cond:
@@ -195,138 +189,18 @@ def loopback_pair() -> tuple[LoopbackTransport, LoopbackTransport]:
 # ----------------------------------------------------------------------- TCP
 
 
-class TcpTransport:
-    """A :class:`Transport` end over a connected TCP socket.
-
-    Sends are serialized under a lock (frames must not interleave); recv
-    and poll are intended for one consuming thread, matching how the dist
-    machinery already partitions pipe ends (one shipper or one control
-    loop per end).
-    """
+class TcpTransport(SocketChannel):
+    """A :class:`Transport` end over a connected TCP socket: the framed
+    :class:`~repro.dist.channel.SocketChannel` with ``TCP_NODELAY`` set and
+    the peer's ``host:port`` recorded."""
 
     def __init__(self, sock: socket.socket) -> None:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        sock.setblocking(True)
-        self._sock: socket.socket | None = sock
-        self._send_lock = threading.Lock()
-        self._buf = bytearray()
-        self._eof = False
-        self._closed = False
         try:
-            self._peer = "%s:%d" % sock.getpeername()[:2]
+            peer = "%s:%d" % sock.getpeername()[:2]
         except OSError:  # pragma: no cover - already torn
-            self._peer = "?"
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    @property
-    def eof(self) -> bool:
-        return self._eof
-
-    @property
-    def peer(self) -> str:
-        """``host:port`` of the remote end (diagnostics)."""
-        return self._peer
-
-    # -------------------------------------------------------------- framing
-
-    def _frame_size(self) -> int | None:
-        """Payload length of the buffered frame, or None if incomplete."""
-        if len(self._buf) < _HEADER.size:
-            return None
-        (size,) = _HEADER.unpack_from(self._buf)
-        if size > MAX_FRAME_BYTES:
-            raise OSError(
-                f"frame of {size} bytes from {self._peer} exceeds "
-                f"MAX_FRAME_BYTES={MAX_FRAME_BYTES}; stream desynchronized"
-            )
-        if len(self._buf) < _HEADER.size + size:
-            return None
-        return size
-
-    def _pop_frame(self) -> bytes:
-        size = self._frame_size()
-        assert size is not None
-        frame = bytes(self._buf[_HEADER.size:_HEADER.size + size])
-        del self._buf[:_HEADER.size + size]
-        return frame
-
-    def send(self, msg: Any) -> None:
-        sock = self._sock
-        if sock is None:
-            raise OSError("transport is closed")
-        blob = pickle.dumps(msg)
-        with self._send_lock:
-            # sendall under the lock: a ping racing a cancel must not
-            # interleave header and payload bytes on the stream.
-            sock.sendall(_HEADER.pack(len(blob)) + blob)
-
-    def recv(self) -> Any:
-        while True:
-            if self._frame_size() is not None:
-                return pickle.loads(self._pop_frame())
-            sock = self._sock
-            if sock is None:
-                raise EOFError("transport is closed")
-            if self._eof:
-                raise EOFError(f"peer {self._peer} closed the connection")
-            chunk = sock.recv(1 << 16)
-            if not chunk:
-                self._eof = True
-                raise EOFError(f"peer {self._peer} closed the connection")
-            self._buf += chunk
-
-    def poll(self, timeout: float = 0.0) -> bool:
-        """True when :meth:`recv` would not block (data *or* a tear)."""
-        import time as _time
-
-        deadline = None if timeout is None else _time.monotonic() + timeout
-        while True:
-            if self._frame_size() is not None or self._eof:
-                return True
-            sock = self._sock
-            if sock is None:
-                return True  # recv() raises EOFError immediately
-            # A spent deadline still polls the socket once (a zero-timeout
-            # select): poll(0) must see a frame that has already arrived.
-            remaining = (
-                None if deadline is None else max(0.0, deadline - _time.monotonic())
-            )
-            try:
-                readable, _, _ = select.select([sock], [], [], remaining)
-            except (OSError, ValueError):
-                # Socket closed under us (lane reclaim): recv() will EOF.
-                self._eof = True
-                return True
-            if not readable:
-                return False
-            try:
-                chunk = sock.recv(1 << 16)
-            except (OSError, ValueError):
-                self._eof = True
-                return True
-            if not chunk:
-                self._eof = True
-                return True
-            self._buf += chunk
-
-    def close(self) -> None:
-        sock, self._sock = self._sock, None
-        self._closed = True
-        if sock is not None:
-            try:
-                sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                sock.close()
-            except OSError:  # pragma: no cover - double close
-                pass
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<TcpTransport peer={self._peer} closed={self._closed}>"
+            peer = "?"
+        super().__init__(sock, peer=peer)
 
 
 class TransportListener:

@@ -524,6 +524,19 @@ class VirtualTarget(abc.ABC):
             )
         return cancelled
 
+    def _seal(self) -> None:
+        """Close the queue and cancel whatever is still in it.
+
+        Called when the last consumer leaves on the shutdown sentinel.
+        ``post`` checks ``_shutdown`` before it enqueues without a lock, so
+        a post racing ``shutdown(wait=True)`` can land its item behind the
+        sentinel, in a queue nobody reads any more.  Once sealed, such a
+        post either finds the queue closed (``TargetShutdownError``) or has
+        its region cancelled here: nothing is stranded.
+        """
+        self._queue.close()
+        self._cancel_pending()
+
     # --------------------------------------------------------------- posting
 
     def post(
@@ -985,6 +998,7 @@ class WorkerTarget(VirtualTarget):
         self._lanes_lock = threading.Lock()
         self._lane_seq = itertools.count(max_threads)
         self._desired = max_threads  # lane count after applied scale decisions
+        self._live = max_threads  # lane threads not yet exited; under _lanes_lock
         self._threads: list[threading.Thread] = []
         for i in range(max_threads):
             t = threading.Thread(
@@ -1078,6 +1092,7 @@ class WorkerTarget(VirtualTarget):
             if self._shutdown.is_set():
                 return
             self._desired += 1
+            self._live += 1
             t = threading.Thread(
                 target=self._worker_loop,
                 name=f"pyjama-{self.name}-{next(self._lane_seq)}",
@@ -1126,6 +1141,11 @@ class WorkerTarget(VirtualTarget):
                     self._dispatch(item)
         finally:
             self._exit_member()
+            with self._lanes_lock:
+                self._live -= 1
+                last = self._live == 0
+            if last and self._shutdown.is_set():
+                self._seal()
 
     def _describe_extra(self) -> str:
         bits = []
@@ -1263,6 +1283,7 @@ class EdtTarget(VirtualTarget):
         while True:
             [item] = self._queue.get_batch()
             if item is _SHUTDOWN:
+                self._seal()
                 self._stopped.set()
                 return
             if item is _WAKEUP:

@@ -21,6 +21,9 @@ Module map:
   a worker process (and a cluster agent) runs;
 * :mod:`~repro.dist.wire` — serialization (cloudpickle when available) and
   the message protocol;
+* :mod:`~repro.dist.channel` — the framed socket channel every remote lane
+  speaks over (socketpairs for process lanes, TCP for cluster lanes), with
+  out-of-band buffers for array payloads;
 * :mod:`~repro.dist.supervisor` — heartbeats and idle-lane restarts over
   the ``RemoteSlot`` interface;
 * :mod:`~repro.dist.remote_obs` — worker-side event capture and re-stamping

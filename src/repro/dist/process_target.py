@@ -4,7 +4,8 @@ The process counterpart of :class:`~repro.core.targets.WorkerTarget`: same
 directive surface, backpressure and shutdown covenant, but region bodies
 execute on a pool of **worker OS processes**, outside this interpreter's
 GIL.  Each lane is a worker process (:func:`repro.dist.worker.worker_main`)
-reached over two duplex pipes, ``task`` and ``ctrl``.
+reached over two socketpairs, ``task`` and ``ctrl``, each end a
+:class:`~repro.dist.channel.SocketChannel`.
 
 Shipping, result waits, crash handling, restart budgets, shutdown, the
 clock handshake, tracing and the no-inline rule live in
@@ -18,11 +19,13 @@ with its process, and the lane is respawned.
 from __future__ import annotations
 
 import multiprocessing
+import socket
 from typing import Any
 
 from ..core.region import TargetRegion
 from ..obs import EventKind
 from . import wire
+from .channel import MAX_LOCAL_FRAME_BYTES, SocketChannel
 from .remote_target import RemoteSlot, RemoteTarget
 from .worker import WorkerConfig, worker_main
 
@@ -37,7 +40,7 @@ DEFAULT_START_METHOD = "spawn"
 
 
 class _WorkerSlot(RemoteSlot):
-    """One lane of a process target: a worker process behind two pipes."""
+    """One lane of a process target: a worker process behind two socketpairs."""
 
     __slots__ = ("process",)
 
@@ -68,7 +71,7 @@ class _WorkerSlot(RemoteSlot):
         return not proc.is_alive()
 
     def reap(self) -> int | None:
-        """Join a dead process, drop the pipes; returns the exit code."""
+        """Join a dead process, drop the channels; returns the exit code."""
         exitcode = None
         proc = self.process
         if proc is not None:
@@ -101,7 +104,7 @@ class ProcessTarget(RemoteTarget):
 
     kind = "process"
     _thread_prefix = "repro-dist"
-    _channel_noun = "pipe"
+    _channel_noun = "socketpair"
     _up_kind = EventKind.WORKER_SPAWN
     _lost_kind = EventKind.WORKER_CRASH
     _exit_kind = EventKind.WORKER_EXIT
@@ -140,8 +143,8 @@ class ProcessTarget(RemoteTarget):
 
     def _open_channels(self, slot: _WorkerSlot) -> tuple[Any, Any]:
         """Start one worker process; record it on the slot."""
-        parent_task, child_task = self._ctx.Pipe()
-        parent_ctrl, child_ctrl = self._ctx.Pipe()
+        parent_task, child_task = socket.socketpair()
+        parent_ctrl, child_ctrl = socket.socketpair()
         proc = self._ctx.Process(
             target=worker_main,
             args=(WorkerConfig(self.name, slot.index), child_task, child_ctrl),
@@ -151,17 +154,21 @@ class ProcessTarget(RemoteTarget):
         try:
             proc.start()
         except Exception:
-            parent_task.close(); parent_ctrl.close()
-            child_task.close(); child_ctrl.close()
+            parent_task.close()
+            parent_ctrl.close()
             raise
-        # The child inherited its ends; closing ours makes a dead child
-        # surface as EOFError on recv instead of an indefinite block.
-        child_task.close()
-        child_ctrl.close()
+        finally:
+            # The child has its own copies; closing ours makes a dead child
+            # surface as EOFError on recv instead of an indefinite block.
+            child_task.close()
+            child_ctrl.close()
         slot.process = proc
-        return parent_task, parent_ctrl
+        return (
+            SocketChannel(parent_task, max_frame=MAX_LOCAL_FRAME_BYTES),
+            SocketChannel(parent_ctrl, max_frame=MAX_LOCAL_FRAME_BYTES),
+        )
 
-    def _task_message(self, region: TargetRegion, blob: bytes, trace: bool) -> wire.TaskMsg:
+    def _task_message(self, region: TargetRegion, blob: tuple, trace: bool) -> wire.TaskMsg:
         return wire.TaskMsg(region.seq, region.name, region.source, blob, trace)
 
     def _lane_label(self, slot: _WorkerSlot) -> str:

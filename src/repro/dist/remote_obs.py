@@ -8,8 +8,8 @@ parent.  The fix is the classic two-step of distributed tracers:
 1. **Offset estimation at spawn.**  The parent timestamps a
    :class:`~repro.dist.wire.SyncMsg` send (``t0``), the worker answers with
    its own clock reading ``w``, the parent timestamps the reply (``t1``).
-   Assuming the two pipe hops are symmetric, the worker read ``w`` at parent
-   time ``(t0 + t1) / 2``, giving ``offset = (t0 + t1) // 2 - w``.  Pipe
+   Assuming the two channel hops are symmetric, the worker read ``w`` at parent
+   time ``(t0 + t1) / 2``, giving ``offset = (t0 + t1) // 2 - w``.  Socket
    hops on one host are tens of microseconds, so the estimate is far finer
    than the millisecond-scale spans it positions.
 2. **Re-stamping at merge.**  Worker events ship back as plain tuples with

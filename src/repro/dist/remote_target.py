@@ -6,7 +6,7 @@ A remote target keeps the name-based directive surface of
 backpressure policies and its shutdown covenant (``wait=True`` drains,
 ``wait=False`` cancels, nothing is ever silently stranded) — but region
 bodies run on *lanes* outside this interpreter: worker processes behind
-pipes (:class:`~repro.dist.process_target.ProcessTarget`) or slots on
+socketpairs (:class:`~repro.dist.process_target.ProcessTarget`) or slots on
 cluster worker agents behind sockets
 (:class:`~repro.cluster.target.ClusterTarget`).  That is the "remote
 device" move of the OpenMP-cluster line of work (arXiv:2207.05677,
@@ -24,11 +24,11 @@ Architecture (per target)::
                  └──────────── Supervisor thread ────┘
 
 Each lane is a :class:`RemoteSlot` holding two channels, ``task`` and
-``ctrl``: a pipe ``Connection`` and a cluster ``Transport`` share
-``send``/``recv``/``poll``/``close``, so everything here is written once
-against that subset.  The lane's *shipper* thread pulls the next item off
-the shared queue, serializes the region's ``(body, args, kwargs)``, ships
-it, and waits for the result in a poll loop that simultaneously watches
+``ctrl``, each a :class:`~repro.dist.channel.SocketChannel` end (over a
+socketpair or TCP) with ``send``/``recv``/``poll``/``close``, so
+everything here is written once against that subset.  The lane's
+*shipper* thread pulls the next item off the shared queue, serializes the
+region's ``(body, args, kwargs)``, ships it, and waits for the result in a poll loop that simultaneously watches
 for: the result, lane death (→ :class:`~repro.core.errors.WorkerCrashedError`
 to the waiter, never a hang), a parent-side cancellation (→ forwarded as a
 :class:`~repro.dist.wire.CancelMsg`; a body that ignores it past
@@ -95,6 +95,12 @@ class RemoteSlot:
     """One lane of a remote target: a ``task`` and a ``ctrl`` channel plus
     accounting — the slot interface :class:`~repro.dist.supervisor.Supervisor`
     sweeps.
+
+    Both channels are :class:`~repro.dist.channel.SocketChannel` ends, over
+    a socketpair (process lanes) or TCP (cluster lanes).  Task payloads and
+    results cross them as protocol-5 pickles whose array data travels out
+    of band, uncopied (a 1 MiB echo: 9.15 → 1.16 ms on a cluster lane,
+    4.47 → 1.32 ms on a process lane; ``docs/DISTRIBUTION.md``).
 
     Lifecycle fields are guarded by ``lock`` (an RLock: the supervisor
     respawns while already holding it).  ``ctrl_lock`` serializes
@@ -283,6 +289,8 @@ class RemoteTarget(VirtualTarget):
         with self._stats_lock:
             self._stats.update({"worker_crashes": 0, "worker_restarts": 0})
         self._slots = slots
+        self._live_shippers = len(slots)  # under _shippers_lock
+        self._shippers_lock = threading.Lock()
         self._supervisor = Supervisor(
             self, interval=heartbeat_interval, misses=heartbeat_misses
         )
@@ -306,7 +314,7 @@ class RemoteTarget(VirtualTarget):
         """
         raise NotImplementedError
 
-    def _task_message(self, region: TargetRegion, blob: bytes, trace: bool) -> Any:
+    def _task_message(self, region: TargetRegion, blob: tuple, trace: bool) -> Any:
         """The wire message that ships *region* (payload already dumped)."""
         raise NotImplementedError
 
@@ -558,6 +566,11 @@ class RemoteTarget(VirtualTarget):
                 self._execute_remote(slot, item)
         finally:
             self._retire_slot(slot)
+            with self._shippers_lock:
+                self._live_shippers -= 1
+                last = self._live_shippers == 0
+            if last:
+                self._seal()
 
     def _retire_slot(self, slot: RemoteSlot) -> None:
         """Stop the slot's lane on shipper exit (drain or hard stop)."""

@@ -1,7 +1,7 @@
 """Worker-pool supervision: heartbeats, crash detection, restarts.
 
 A :class:`Supervisor` is one daemon thread per remote-backed target — the
-same sweep serves process targets (workers behind pipes,
+same sweep serves process targets (workers behind socketpairs,
 :mod:`repro.dist.process_target`) and cluster targets (workers behind
 sockets, :mod:`repro.cluster.target`), because it is written against the
 slot interface below rather than ``multiprocessing`` internals.  Division
@@ -15,7 +15,7 @@ of labour with the per-slot shipper threads:
 * a worker that dies **idle** has no shipper watching it (the shipper is
   parked on the target queue), so the supervisor's periodic sweep respawns
   it eagerly — the next region must not pay the spawn latency or, worse,
-  be shipped into a dead pipe;
+  be shipped into a dead channel;
 * a worker that is **alive but wedged** (e.g. a native extension stuck in a
   syscall) stops answering pings; after ``heartbeat_misses`` silent
   intervals an *idle* wedged worker is terminated and respawned.  A *busy*

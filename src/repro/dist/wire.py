@@ -1,4 +1,4 @@
-"""Wire format of process-backed virtual targets.
+"""Wire format of process and cluster targets.
 
 Everything that crosses the parent↔worker boundary is defined here, so the
 protocol reads in one place:
@@ -22,14 +22,20 @@ protocol reads in one place:
     thread): :class:`PingMsg` → :class:`PongMsg` heartbeats and
     :class:`CancelMsg` cooperative-cancellation requests, which must remain
     deliverable *while the worker's main thread is busy executing a region*
-    — the reason control rides a separate pipe.
+    — the reason control rides a separate channel.
+
+Both channels are :class:`~repro.dist.channel.SocketChannel` ends, which
+pickle each message once with protocol 5.
 
 The payload of a task is the tuple ``(body, args, kwargs)`` serialized as
-one blob: serializing eagerly in the parent (rather than letting
-``Connection.send`` pickle lazily) means an unpicklable payload is rejected
+one blob: serializing eagerly in the parent (rather than letting the
+channel's ``send`` pickle lazily) means an unpicklable payload is rejected
 at dispatch with a clear error instead of killing the channel mid-protocol.
 Results come back the same way — the *worker* serializes eagerly so an
-unpicklable return value becomes an error result, not a dead worker.
+unpicklable return value becomes an error result, not a dead worker.  A
+blob is a tuple of :class:`pickle.PickleBuffer` (:func:`dumps`), so large
+array data inside it is never copied on its way into the message: the
+channel sends those buffers out of band, straight from the array.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ import traceback
 from typing import Any
 
 from ..core.errors import ProtocolVersionError, RemoteExecutionError, SerializationError
+from .channel import OOB_MIN_BYTES
 
 try:  # cloudpickle widens what can cross the wire (lambdas, closures, ...)
     import cloudpickle as _pickler
@@ -69,15 +76,16 @@ __all__ = [
     "TagDoneMsg",
 ]
 
-#: Version of the message protocol defined in this module.  Bumped whenever
-#: a message gains/loses a field or changes meaning.  Pipe-backed process
-#: targets never see a mismatch (parent and child share one checkout by
-#: construction), but cluster workers are separate invocations — possibly of
-#: a different checkout — so every socket connection opens with a
-#: :class:`HelloMsg` carrying this number, and a mismatch raises a
-#: structured :class:`ProtocolVersionError` instead of undefined behaviour
-#: deep inside message dispatch.
-PROTOCOL_VERSION = 1
+#: Version of the message protocol defined in this module and of the frame
+#: format of :mod:`repro.dist.channel`.  Bumped whenever a message
+#: gains/loses a field or changes meaning (2: multi-part frames carrying
+#: out-of-band buffers).  Process targets never see a mismatch (parent and
+#: child share one checkout by construction), but cluster workers are
+#: separate invocations — possibly of a different checkout — so every
+#: socket connection opens with a :class:`HelloMsg` carrying this number,
+#: and a mismatch raises a structured :class:`ProtocolVersionError` instead
+#: of undefined behaviour deep inside message dispatch.
+PROTOCOL_VERSION = 2
 
 
 def check_protocol_version(theirs: int, *, peer: str | None = None) -> None:
@@ -86,18 +94,38 @@ def check_protocol_version(theirs: int, *, peer: str | None = None) -> None:
         raise ProtocolVersionError(PROTOCOL_VERSION, theirs, peer=peer)
 
 
-def dumps(obj: Any, *, what: str = "payload") -> bytes:
-    """Serialize *obj*; raise :class:`SerializationError` naming *what*."""
+def dumps(obj: Any, *, what: str = "payload") -> tuple[pickle.PickleBuffer, ...]:
+    """Serialize *obj* once; raise :class:`SerializationError` naming *what*.
+
+    The blob is a tuple of :class:`pickle.PickleBuffer`: the protocol-5
+    pickle stream first, then the out-of-band buffers it refers to (numpy
+    array data, say) as views of *obj*'s own memory, uncopied.  A message
+    carrying the blob keeps them out of band on the channel too.  Buffers
+    smaller than :data:`~repro.dist.channel.OOB_MIN_BYTES` stay in the
+    stream: copying them costs less than framing each as a part.
+    """
+    buffers: list[pickle.PickleBuffer] = []
+
+    def out_of_band(buf: pickle.PickleBuffer) -> bool:
+        if buf.raw().nbytes < OOB_MIN_BYTES:
+            return True  # in band
+        buffers.append(buf)
+        return False
+
     try:
-        return _pickler.dumps(obj)
+        stream = _pickler.dumps(obj, protocol=5, buffer_callback=out_of_band)
     except Exception as exc:  # noqa: BLE001 - picklers raise a zoo of types
         raise SerializationError(what, exc) from exc
+    return (pickle.PickleBuffer(stream), *buffers)
 
 
-def loads(blob: bytes, *, what: str = "payload") -> Any:
-    """Deserialize a :func:`dumps` blob; failures (e.g. a module importable
-    in the parent but not in the worker) become :class:`SerializationError`."""
+def loads(blob: Any, *, what: str = "payload") -> Any:
+    """Deserialize a :func:`dumps` blob (its buffer tuple, or plain bytes);
+    failures (e.g. a module importable in the parent but not in the worker)
+    become :class:`SerializationError`."""
     try:
+        if isinstance(blob, tuple):
+            return _pickler.loads(blob[0], buffers=blob[1:])
         return _pickler.loads(blob)
     except Exception as exc:  # noqa: BLE001
         raise SerializationError(what, exc) from exc
@@ -207,7 +235,7 @@ class ClusterTaskMsg(_Msg):
     *before* the (possibly large) result payload is serialized and shipped,
     so cross-host ``wait_tag`` progress is visible at body-completion
     latency rather than result-transfer latency.  A separate class (not a
-    new :class:`TaskMsg` field) keeps the pipe protocol of process targets
+    new :class:`TaskMsg` field) keeps the task protocol of process targets
     byte-identical.
     """
 

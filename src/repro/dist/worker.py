@@ -8,8 +8,8 @@ worker runs two threads:
   ship a :class:`~repro.dist.wire.ResultMsg` (result *or* exception, plus
   the worker-side trace events), repeat until :class:`~repro.dist.wire.StopMsg`;
 * a daemon **control thread** answers heartbeat pings and applies
-  cooperative cancellation — it owns the control pipe, so both keep working
-  while the main thread is deep inside a region body.
+  cooperative cancellation — it owns the control channel, so both keep
+  working while the main thread is deep inside a region body.
 
 A cluster worker agent (:mod:`repro.cluster.agent`) runs the same two loops,
 :func:`_task_loop` and :func:`_control_loop`, per lane over sockets.
@@ -26,12 +26,13 @@ body does may kill the worker.  Exceptions are captured and shipped;
 unpicklable payloads/results/exceptions degrade to typed errors
 (:class:`~repro.core.errors.SerializationError`,
 :class:`~repro.core.errors.RemoteExecutionError`) rather than breaking the
-protocol.  Only a torn pipe (the parent died) exits the loop.
+protocol.  Only a torn channel (the parent died) exits the loop.
 """
 
 from __future__ import annotations
 
 import os
+import socket
 import threading
 from typing import Any
 
@@ -39,6 +40,7 @@ from ..core.region import TargetRegion
 from ..obs import EventKind
 from ..obs.events import now_ns
 from . import wire
+from .channel import MAX_LOCAL_FRAME_BYTES, SocketChannel
 from .remote_obs import WorkerEventLog
 
 __all__ = ["WorkerConfig", "worker_main"]
@@ -74,9 +76,16 @@ class _Current:
             self._seq, self._region = seq, region
             self.executed += 1
 
-    def clear(self) -> None:
+    def clear(self, seq: int) -> None:
+        """Unregister *seq* — unless a newer region already took its place.
+
+        A cluster agent hands a reconnected lane the same ``_Current``
+        while the reclaimed connection's body may still be running; when
+        that body ends it must not erase the new lane's registration.
+        """
         with self._lock:
-            self._seq, self._region = None, None
+            if self._seq == seq:
+                self._seq, self._region = None, None
 
     def cancel(self, seq: int) -> None:
         """Flip the cancel token iff *seq* is still the executing region."""
@@ -86,7 +95,7 @@ class _Current:
 
 
 def _control_loop(ctrl_conn: Any, current: _Current) -> None:
-    """Answer pings and deliver cancellations until the pipe tears."""
+    """Answer pings and deliver cancellations until the channel tears."""
     while True:
         try:
             msg = ctrl_conn.recv()
@@ -145,7 +154,7 @@ def _run_task(
                 arg="failed" if region.exception is not None else "completed",
             )
     finally:
-        current.clear()
+        current.clear(msg.seq)
 
     tag = getattr(msg, "tag", None)
     if tag is not None:
@@ -163,12 +172,17 @@ def _run_task(
     return wire.ResultMsg(msg.seq, True, blob, None, None, None, log.drain(), log.dropped)
 
 
-def worker_main(config: WorkerConfig, task_conn: Any, ctrl_conn: Any) -> None:
+def worker_main(
+    config: WorkerConfig, task_sock: socket.socket, ctrl_sock: socket.socket
+) -> None:
     """Entry point of one worker process (the ``Process`` target).
 
+    *task_sock* and *ctrl_sock* are this end of the lane's two socketpairs.
     Protocol: answer the clock-sync handshake, then loop over tasks until a
     :class:`~repro.dist.wire.StopMsg` arrives or the parent disappears.
     """
+    task_conn = SocketChannel(task_sock, max_frame=MAX_LOCAL_FRAME_BYTES)
+    ctrl_conn = SocketChannel(ctrl_sock, max_frame=MAX_LOCAL_FRAME_BYTES)
     current = _Current()
     ctrl = threading.Thread(
         target=_control_loop,
@@ -177,14 +191,18 @@ def worker_main(config: WorkerConfig, task_conn: Any, ctrl_conn: Any) -> None:
         daemon=True,
     )
     ctrl.start()
-    _task_loop(task_conn, config, current)
+    try:
+        _task_loop(task_conn, config, current)
+    finally:
+        task_conn.close()
+        ctrl_conn.close()
 
 
 def _task_loop(task_conn: Any, config: WorkerConfig, current: _Current) -> None:
     """Serve one lane's task channel until StopMsg or the channel tears.
 
     The one task loop of both remote kinds: a process worker's main thread
-    runs it over a pipe, a cluster agent's connection thread over a socket.
+    runs it over a socketpair, a cluster agent's connection thread over TCP.
     """
     while True:
         try:

@@ -159,6 +159,47 @@ class TestCtrlProtocol:
                 ctrl.close()
 
 
+class TestReconnectedLane:
+    def test_old_body_ending_keeps_the_new_lanes_cancellation(self):
+        """A body left running on a reclaimed connection must not erase the
+        registration of the region the reconnected lane runs next."""
+        from repro.core import PjRuntime, TargetRegion
+
+        with ClusterAgent() as agent:
+            rt = PjRuntime()
+            try:
+                target = rt.create_cluster(
+                    "relane", [f"{agent.host}:{agent.port}"], cancel_grace=0.3
+                )
+                busy = lambda: target._slots[0].busy
+                t0 = time.monotonic()
+                stuck = TargetRegion(bodies.sleepy, 2.0, name="stuck")
+                rt.invoke_target_block("relane", stuck, "nowait")
+                assert _wait_until(busy)
+                stuck.request_cancel()  # ignored: the lane is reclaimed
+                assert stuck.wait(10.0) and stuck.exception is not None
+
+                coop = TargetRegion(bodies.cooperative_loop, 30.0, name="coop")
+                rt.invoke_target_block("relane", coop, "nowait")
+                assert _wait_until(busy)
+                # Let the stuck body finish on the agent, then cancel.
+                time.sleep(max(0.0, t0 + 2.5 - time.monotonic()))
+                coop.request_cancel()
+                assert coop.wait(10.0)
+                assert coop.result() == "cancelled"
+            finally:
+                rt.shutdown(wait=False)
+
+
+def _wait_until(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(0.01)
+    return False
+
+
 class TestSlotCap:
     def test_max_slots_refuses_extra_task_connections(self):
         with ClusterAgent(max_slots=1) as agent:

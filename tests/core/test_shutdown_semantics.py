@@ -312,3 +312,42 @@ class TestRuntimeShutdown:
         rt.shutdown()
         with pytest.raises(UnknownTargetError):
             rt.invoke_target_block("w", lambda: None)
+
+
+def post_racing_graceful_shutdown(target):
+    """Post a region while ``shutdown(wait=True)`` runs to completion inside
+    the post seam — after the poster passed the shutdown check, before it
+    enqueued.  Returns ``(raised, region)``."""
+    from repro.core import injection
+
+    fired = []
+
+    def decision(point, name):
+        if point == "post" and name == target.name and not fired:
+            fired.append(True)
+            target.shutdown(wait=True)
+
+    region = TargetRegion(lambda: "late")
+    with injection.installed(injection.InjectionHooks(decision=decision)):
+        try:
+            target.post(region)
+        except TargetShutdownError:
+            return True, region
+    return False, region
+
+
+class TestPostRacingGracefulShutdown:
+    """A post that loses the race with ``shutdown(wait=True)`` must raise or
+    end cancelled — never sit in a queue whose consumers have all left."""
+
+    def assert_not_stranded(self, target):
+        raised, region = post_racing_graceful_shutdown(target)
+        assert raised or region.state is RegionState.CANCELLED
+        assert target.work_count() == 0
+
+    def test_edt(self):
+        target = EdtTarget("race-edt").start_in_thread()
+        self.assert_not_stranded(target)
+
+    def test_worker_pool(self):
+        self.assert_not_stranded(WorkerTarget("race-pool", 2))

@@ -8,7 +8,7 @@ import pytest
 
 from repro.core import PjRuntime
 from repro.core.errors import RegionCancelledError, TargetShutdownError
-from repro.core.region import TargetRegion
+from repro.core.region import RegionState, TargetRegion
 
 from . import bodies
 
@@ -80,3 +80,20 @@ class TestHardShutdown:
         rt.shutdown(wait=False)
         with pytest.raises(TargetShutdownError):
             target.post(TargetRegion(bodies.square, 1))
+
+
+class TestPostRacingGracefulShutdown:
+    def test_late_post_is_refused_or_cancelled(self):
+        from tests.core.test_shutdown_semantics import post_racing_graceful_shutdown
+
+        rt = PjRuntime()
+        try:
+            target = rt.create_process_worker("race", 1)
+            assert rt.invoke_target_block(
+                "race", TargetRegion(bodies.square, 3)
+            ).result() == 9
+            raised, region = post_racing_graceful_shutdown(target)
+            assert raised or region.state is RegionState.CANCELLED
+            assert target.work_count() == 0
+        finally:
+            rt.shutdown(wait=False)
